@@ -7,8 +7,8 @@
 // serial partial fold) and parallel_agg=on (vectorized column-wise key
 // hashing through the dispatched hash_i64 kernel, radix partitions,
 // per-partition merge fan-out). Every "on" cell is verified cell-for-
-// cell against the serial Volcano baseline before its timing is
-// reported (identical_to_serial), and the AggExecStats allocation
+// cell against the threads=1 baseline before its timing is reported
+// (identical_to_serial), and the AggExecStats allocation
 // counters (boxed key vectors built, boxed rows accumulated) are
 // emitted per cell as the allocation-churn ablation.
 //
@@ -97,9 +97,8 @@ int RunSweep(platform::Platform* db, size_t rows) {
   const size_t host_cores = TaskPool::DefaultDop();
 
   for (const CardSpec& spec : specs) {
-    // Serial Volcano baseline: the reference result every cell must
+    // Single-threaded baseline: the reference result every cell must
     // reproduce bit for bit.
-    if (!db->SetParameter("executor", "serial").ok()) return 1;
     if (!db->SetParameter("threads", "1").ok()) return 1;
     auto baseline = db->Query(spec.sql);
     if (!baseline.ok()) {
@@ -107,7 +106,6 @@ int RunSweep(platform::Platform* db, size_t rows) {
                    baseline.status().ToString().c_str());
       return 1;
     }
-    if (!db->SetParameter("executor", "pipeline").ok()) return 1;
 
     for (const char* cpu : kCpuModes) {
       if (!db->SetParameter("cpu", cpu).ok()) return 1;

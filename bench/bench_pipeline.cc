@@ -1,23 +1,23 @@
-// Pipeline-executor ablation: the same plans driven by the three
-// scheduling modes of the `executor` knob (serial / fused / pipeline)
-// at 1/2/4/8 threads. All modes share one plan decomposition and one
-// morsel-order merge, so every run must produce bit-identical results;
-// only the schedule (and therefore the wall time) may differ.
+// Pipeline-executor schedules: the same plans at 1/2/4/8 threads. At
+// one thread the executor runs the pipeline DAG inline (pipelines in
+// dependency order, morsels on the calling thread); above one thread it
+// schedules every ready pipeline on the task pool at once. Both
+// schedules share one plan decomposition and one morsel-order merge, so
+// every run must produce bit-identical results; only the wall time may
+// differ.
 //
-// Two plans exercise the two ways the pipeline DAG wins:
+// Two plans exercise the two ways the DAG schedule wins:
 //
 //  1. A Figure-7-style Union Plan: a hybrid table whose four cold
 //     partitions live in the extended storage. Each branch becomes an
-//     independent pipeline; the pipeline executor dispatches them
+//     independent pipeline; the DAG schedule dispatches them
 //     concurrently, so the statement pays the max of the simulated
-//     branch latencies instead of their sum. The fused executor runs
-//     one pipeline at a time and keeps paying the sum regardless of
-//     the thread count.
+//     branch latencies instead of their sum. The inline schedule runs
+//     one pipeline at a time and pays the sum.
 //
 //  2. A TPC-H-Q5-style two-join aggregate: both dimension builds are
-//     independent single-morsel pipelines. The pipeline executor
-//     overlaps them; the fused executor builds one table after the
-//     other.
+//     independent single-morsel pipelines. The DAG schedule overlaps
+//     them; the inline schedule builds one table after the other.
 //
 // Usage: bench_pipeline [fact_rows]
 
@@ -46,20 +46,19 @@ bool TablesEqual(const storage::Table& a, const storage::Table& b) {
   return true;
 }
 
-struct ModeTiming {
-  double fused_4t = 0.0;
-  double pipeline_4t = 0.0;
+struct ScheduleTiming {
+  double inline_1t = 0.0;
+  double dag_4t = 0.0;
 };
 
-/// Runs `query` under every (executor, threads) combination, printing
-/// one JSON line per run with the chosen time metric and whether the
-/// result matched the serial single-threaded baseline bit for bit.
-/// Each cell reports the best of `kReps` runs to damp scheduler noise;
-/// the identity check covers every repetition.
-ModeTiming RunGrid(platform::Platform* db, const char* bench,
-                   const std::string& query, bool use_total_ms) {
+/// Runs `query` at every thread count, printing one JSON line per run
+/// with the chosen time metric and whether the result matched the
+/// threads=1 baseline bit for bit. Each cell reports the best of
+/// `kReps` runs to damp scheduler noise; the identity check covers
+/// every repetition.
+ScheduleTiming RunGrid(platform::Platform* db, const char* bench,
+                       const std::string& query, bool use_total_ms) {
   constexpr int kReps = 3;
-  (void)db->SetParameter("executor", "serial");
   (void)db->SetParameter("threads", "1");
   auto baseline = db->Execute(query);
   if (!baseline.ok()) {
@@ -67,59 +66,54 @@ ModeTiming RunGrid(platform::Platform* db, const char* bench,
                  baseline.status().ToString().c_str());
     std::exit(1);
   }
-  ModeTiming timing;
-  static const char* kModes[] = {"serial", "fused", "pipeline"};
-  for (const char* mode : kModes) {
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      (void)db->SetParameter("executor", mode);
-      (void)db->SetParameter("threads", std::to_string(threads));
-      double ms = 0.0;
-      double remote_ms = 0.0;
-      size_t rows = 0;
-      bool identical = true;
-      for (int rep = 0; rep < kReps; ++rep) {
-        auto result = db->Execute(query);
-        if (!result.ok()) {
-          std::fprintf(stderr, "%s %s/%zu failed: %s\n", bench, mode, threads,
-                       result.status().ToString().c_str());
-          std::exit(1);
-        }
-        double run_ms = use_total_ms ? result->metrics.total_ms
-                                     : result->metrics.local_ms;
-        if (rep == 0 || run_ms < ms) {
-          ms = run_ms;
-          remote_ms = result->metrics.simulated_remote_ms;
-        }
-        rows = result->table.num_rows();
-        identical = identical && TablesEqual(baseline->table, result->table);
+  ScheduleTiming timing;
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    (void)db->SetParameter("threads", std::to_string(threads));
+    double ms = 0.0;
+    double remote_ms = 0.0;
+    size_t rows = 0;
+    bool identical = true;
+    for (int rep = 0; rep < kReps; ++rep) {
+      auto result = db->Execute(query);
+      if (!result.ok()) {
+        std::fprintf(stderr, "%s %zu threads failed: %s\n", bench, threads,
+                     result.status().ToString().c_str());
+        std::exit(1);
       }
-      std::printf(
-          "{\"bench\": \"%s\", \"executor\": \"%s\", \"threads\": %zu, "
-          "\"ms\": %.3f, \"remote_ms\": %.3f, \"rows\": %zu, "
-          "\"identical_to_serial\": %s}\n",
-          bench, mode, threads, ms, remote_ms, rows,
-          identical ? "true" : "false");
-      if (threads == 4 && std::string(mode) == "fused") timing.fused_4t = ms;
-      if (threads == 4 && std::string(mode) == "pipeline") {
-        timing.pipeline_4t = ms;
+      double run_ms = use_total_ms ? result->metrics.total_ms
+                                   : result->metrics.local_ms;
+      if (rep == 0 || run_ms < ms) {
+        ms = run_ms;
+        remote_ms = result->metrics.simulated_remote_ms;
       }
+      rows = result->table.num_rows();
+      identical = identical && TablesEqual(baseline->table, result->table);
     }
+    std::printf(
+        "{\"bench\": \"%s\", \"schedule\": \"%s\", \"threads\": %zu, "
+        "\"ms\": %.3f, \"remote_ms\": %.3f, \"rows\": %zu, "
+        "\"identical_to_serial\": %s}\n",
+        bench, threads == 1 ? "inline" : "dag", threads, ms, remote_ms, rows,
+        identical ? "true" : "false");
+    if (!identical) std::exit(1);
+    if (threads == 1) timing.inline_1t = ms;
+    if (threads == 4) timing.dag_4t = ms;
   }
   return timing;
 }
 
-void PrintSummary(const char* bench, const ModeTiming& t) {
+void PrintSummary(const char* bench, const ScheduleTiming& t) {
   std::printf(
-      "{\"bench\": \"%s_summary\", \"fused_4t_ms\": %.3f, "
-      "\"pipeline_4t_ms\": %.3f, \"pipeline_vs_fused_speedup\": %.2f}\n",
-      bench, t.fused_4t, t.pipeline_4t,
-      t.pipeline_4t > 0 ? t.fused_4t / t.pipeline_4t : 0.0);
+      "{\"bench\": \"%s_summary\", \"inline_1t_ms\": %.3f, "
+      "\"dag_4t_ms\": %.3f, \"dag_vs_inline_speedup\": %.2f}\n",
+      bench, t.inline_1t, t.dag_4t,
+      t.dag_4t > 0 ? t.inline_1t / t.dag_4t : 0.0);
 }
 
 /// Figure-7-style Union Plan: four cold extended-storage partitions,
 /// each a branch pipeline carrying simulated remote latency.
 void RunUnionPlan() {
-  std::printf("\nUnion Plan: 4 extended-storage branches, executor ablation\n");
+  std::printf("\nUnion Plan: 4 extended-storage branches\n");
   platform::Platform db;
   Status s = db.Run(R"(
       CREATE TABLE events (id BIGINT, bucket BIGINT, amount DOUBLE)
@@ -152,7 +146,8 @@ void RunUnionPlan() {
     std::fprintf(stderr, "warm-up failed\n");
     std::exit(1);
   }
-  ModeTiming t = RunGrid(&db, "pipeline_union", query, /*use_total_ms=*/true);
+  ScheduleTiming t =
+      RunGrid(&db, "pipeline_union", query, /*use_total_ms=*/true);
   PrintSummary("pipeline_union", t);
   std::printf(
       "shape: concurrent branch pipelines pay max-of-branch-latencies"
@@ -201,8 +196,8 @@ void RunTwoJoinPlan(size_t fact_rows) {
   (void)db.catalog().Insert("fact", rows);
 
   // Dimension builds stay single-morsel (their tables are smaller than
-  // one morsel), so the fused executor serializes them while the
-  // pipeline executor runs them concurrently.
+  // one morsel), so the inline schedule serializes them while the DAG
+  // schedule runs them concurrently.
   (void)db.SetParameter("morsel_rows", "131072");
   const std::string query = R"(
       SELECT d.grp, SUM(f.amount) AS revenue
@@ -215,8 +210,8 @@ void RunTwoJoinPlan(size_t fact_rows) {
     std::fprintf(stderr, "warm-up failed\n");
     std::exit(1);
   }
-  ModeTiming t = RunGrid(&db, "pipeline_two_join", query,
-                         /*use_total_ms=*/false);
+  ScheduleTiming t = RunGrid(&db, "pipeline_two_join", query,
+                             /*use_total_ms=*/false);
   PrintSummary("pipeline_two_join", t);
   std::printf("shape: independent join builds overlap on the task pool\n");
 }
@@ -225,8 +220,8 @@ int Main(int argc, char** argv) {
   size_t fact_rows =
       argc > 1 ? static_cast<size_t>(std::atoll(argv[1])) : 400000;
   std::printf(
-      "Pipeline executor ablation: serial vs fused vs pipeline-DAG\n"
-      "scheduling over the same plan decomposition (results must be\n"
+      "Pipeline executor schedules: inline (1 thread) vs DAG (2/4/8\n"
+      "threads) over the same plan decomposition (results must be\n"
       "bit-identical in every cell).\n");
   RunUnionPlan();
   RunTwoJoinPlan(fact_rows);

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <unordered_set>
 #include <utility>
 
 #include "common/sync.h"
@@ -43,6 +44,21 @@ size_t AggPartitionCount(const Pipeline& p, const ParallelPolicy& policy) {
   return DefaultAggPartitions(p.sink_op->group_by);
 }
 
+/// Row cap of a LIMIT-capped kCollect sink, or nullopt.
+std::optional<uint64_t> RowCap(const Pipeline& p) {
+  if (p.sink != Pipeline::SinkKind::kCollect || p.sink_op == nullptr) {
+    return std::nullopt;
+  }
+  return static_cast<uint64_t>(std::max<int64_t>(0, p.sink_op->limit));
+}
+
+/// First `rows` rows of `chunk`.
+Chunk HeadRows(const Chunk& chunk, size_t rows) {
+  Chunk out = Chunk::Empty(chunk.schema);
+  for (size_t r = 0; r < rows; ++r) out.AppendRowFrom(chunk, r);
+  return out;
+}
+
 /// Runtime state of one pipeline. Morsel-indexed members are sized at
 /// Prepare() and each index is touched by exactly one worker; the
 /// completion counter publishes them to whichever thread merges.
@@ -59,7 +75,8 @@ struct PipelineRun {
   // every per-morsel slot write.
   std::atomic<size_t> workers_remaining{0};
   std::vector<Status> statuses;               // Per morsel.
-  std::vector<std::vector<Chunk>> collected;  // kCollect / kSort.
+  std::vector<std::vector<Chunk>> collected;  // kCollect / kSort / NL build.
+  std::vector<uint64_t> collected_rows;       // Per morsel, capped kCollect.
   /// kGroups: per-morsel radix-partitioned partials (phase 1).
   std::vector<std::unique_ptr<PartitionedGroupTable>> partials;
   size_t agg_partitions = 0;  // kGroups: phase-2 partition count.
@@ -78,16 +95,16 @@ struct PipelineRun {
   std::atomic<int64_t> cpu_us{0};
 };
 
-/// Drives one decomposed plan to completion. Three schedules share the
+/// Drives one decomposed plan to completion. Two schedules share the
 /// same morsel decomposition and the same morsel-order merges, so their
 /// results are bit-identical; only the wall-clock overlap differs:
-///   kSerial   — pipelines in id (topological) order, morsels inline.
-///   kFused    — pipelines in id order, morsels of each in parallel.
-///   kPipeline — every dependency-free pipeline scheduled on the pool
-///               at once; a dynamic SDA bracket (opened when the number
-///               of in-flight pipelines reaches 2, closed when it drops
-///               back to 1) charges concurrently dispatched federation
-///               branches max instead of sum.
+///   inline — no pool or dop 1: pipelines in id (topological) order,
+///            morsels on the calling thread.
+///   DAG    — every dependency-free pipeline scheduled on the pool at
+///            once; a dynamic SDA bracket (opened when the number of
+///            in-flight pipelines reaches 2, closed when it drops back
+///            to 1) charges concurrently dispatched federation branches
+///            max instead of sum.
 ///
 /// Lock order: mu_ may be held while entering the SDA dispatch bracket
 /// (mu_ -> sda dispatch_mu_); tasks are never submitted and
@@ -120,13 +137,10 @@ class PipelineExecutor {
   /// skipped (inheriting its status) rather than run.
   [[nodiscard]] Result<std::vector<Chunk>> Run(
       std::vector<PipelineStats>* stats) {
-    bool concurrent = policy_.executor == ExecutorMode::kPipeline &&
-                      policy_.pool != nullptr && policy_.dop > 1 &&
-                      runs_.size() > 1;
-    if (concurrent) {
+    if (policy_.pool != nullptr && policy_.dop > 1) {
       RunConcurrent();
     } else {
-      RunSequential();
+      RunInline();
     }
     if (stats != nullptr) {
       for (const PipelineRun& run : runs_) {
@@ -160,7 +174,7 @@ class PipelineExecutor {
     return best < runs_.size() ? runs_[best].final_status : Status::OK();
   }
 
-  void RunSequential() {
+  void RunInline() {
     for (PipelineRun& run : runs_) {
       Status dep = DepsStatus(run);
       if (!dep.ok()) {
@@ -170,25 +184,9 @@ class PipelineExecutor {
       run.wall.Reset();
       Status st = Prepare(run);
       if (st.ok()) {
-        size_t n = run.num_morsels;
-        size_t probes = ProbeStageCount(*run.p);
-        bool parallel = policy_.executor != ExecutorMode::kSerial &&
-                        policy_.pool != nullptr && policy_.dop > 1 && n > 1;
-        if (parallel) {
-          size_t slots = policy_.pool->WorkerSlots(n, policy_.dop);
-          std::vector<std::vector<RadixJoinTable::ProbeKeys>> scratch(
-              slots, std::vector<RadixJoinTable::ProbeKeys>(probes));
-          policy_.pool->ParallelForWorker(
-              n,
-              [&](size_t worker, size_t m) {
-                run.statuses[m] = ProcessMorsel(run, m, &scratch[worker]);
-              },
-              policy_.dop);
-        } else {
-          std::vector<RadixJoinTable::ProbeKeys> scratch(probes);
-          for (size_t m = 0; m < n; ++m) {
-            run.statuses[m] = ProcessMorsel(run, m, &scratch);
-          }
+        std::vector<RadixJoinTable::ProbeKeys> scratch(ProbeStageCount(*run.p));
+        for (size_t m = 0; m < run.num_morsels; ++m) {
+          run.statuses[m] = ProcessMorsel(run, m, &scratch);
         }
         st = Finish(run);
       }
@@ -325,7 +323,7 @@ class PipelineExecutor {
   }
 
   /// Resolves the source into a morsel count and creates the pipeline's
-  /// join build table when it feeds one.
+  /// join build state when it feeds one.
   [[nodiscard]] Status Prepare(PipelineRun& run) {
     const Pipeline& p = *run.p;
     run.num_morsels = 1;
@@ -333,7 +331,7 @@ class PipelineExecutor {
     if (p.source == Pipeline::SourceKind::kScan) {
       HANA_ASSIGN_OR_RETURN(
           run.partition,
-          ctx_->OpenPartitionedScanAt(*p.scan, policy_.morsel_rows, view_));
+          ctx_->OpenPartitionedScan(*p.source_op, policy_.morsel_rows, view_));
       if (run.partition.has_value()) {
         run.num_morsels = run.partition->num_morsels;
       }
@@ -342,17 +340,30 @@ class PipelineExecutor {
     }
     if (p.sink == Pipeline::SinkKind::kJoinBuild) {
       JoinBuildState* b = p.build_target;
-      bool vectorized = plan::EquiKeysVectorizable(b->parts);
-      b->table = std::make_unique<RadixJoinTable>(
-          b->build->schema, b->build_key_exprs, vectorized,
-          b->join->perfect_hash);
-      GlobalJoinExecStats().radix_hash_joins.fetch_add(
-          1, std::memory_order_relaxed);
-      if (!vectorized) {
-        GlobalJoinExecStats().boxed_key_builds.fetch_add(
+      if (b->nested_loop) {
+        if (b->join->condition != nullptr &&
+            b->join->join_kind != plan::JoinKind::kCross) {
+          // A conditioned join with no usable equi key: falling off the
+          // hash path is worth noticing — count it and log.
+          GlobalJoinExecStats().nested_loop_fallbacks.fetch_add(
+              1, std::memory_order_relaxed);
+          HANA_LOG(LogLevel::kDebug,
+                   "join fell back to nested-loop: no equi key in " +
+                       b->join->condition->ToString());
+        }
+      } else {
+        bool vectorized = plan::EquiKeysVectorizable(b->parts);
+        b->table = std::make_unique<RadixJoinTable>(
+            b->build->schema, b->build_key_exprs, vectorized,
+            b->join->perfect_hash);
+        GlobalJoinExecStats().radix_hash_joins.fetch_add(
             1, std::memory_order_relaxed);
+        if (!vectorized) {
+          GlobalJoinExecStats().boxed_key_builds.fetch_add(
+              1, std::memory_order_relaxed);
+        }
+        b->table->SetNumMorsels(run.num_morsels);
       }
-      b->table->SetNumMorsels(run.num_morsels);
     }
     run.statuses.assign(run.num_morsels, Status::OK());
     if (p.sink == Pipeline::SinkKind::kGroups) {
@@ -361,9 +372,55 @@ class PipelineExecutor {
     } else {
       run.collected.assign(run.num_morsels, {});
     }
+    if (RowCap(p).has_value()) run.collected_rows.assign(run.num_morsels, 0);
     run.next_morsel.store(0, std::memory_order_relaxed);
     run.output.clear();
     return Status::OK();
+  }
+
+  /// Capped kCollect: true once morsel m holds the cap.
+  bool MorselFull(const PipelineRun& run, size_t m) const {
+    std::optional<uint64_t> cap = RowCap(*run.p);
+    return cap.has_value() && run.collected_rows[m] >= *cap;
+  }
+
+  /// Opens a kStream source: a table function, or a remote query that
+  /// first uploads its relocated local child or ships the semijoin
+  /// IN-list of the collected probe side.
+  [[nodiscard]] Result<ChunkStream> OpenStream(const Pipeline& p) {
+    const LogicalOp& op = *p.source_op;
+    if (op.kind == plan::LogicalKind::kTableFunctionScan) {
+      return ctx_->OpenTableFunction(op);
+    }
+    if (p.in_list_from.has_value()) {
+      // Distinct non-null values of the first equi key drive the IN-list.
+      const JoinBuildState& b = *p.build_target;
+      if (b.parts.equi_keys.empty()) {
+        return Status::Internal("semijoin pushdown requires an equi key");
+      }
+      const plan::BoundExpr& key = *b.parts.equi_keys[0].left;
+      PushdownInList in_list;
+      in_list.column = b.join->pushdown_remote_column;
+      std::unordered_set<Value, storage::ValueHash> seen;
+      for (const Chunk& chunk : runs_[*p.in_list_from].output) {
+        for (size_t r = 0; r < chunk.num_rows(); ++r) {
+          HANA_ASSIGN_OR_RETURN(Value v, EvalExpr(key, chunk, r));
+          if (!v.is_null() && seen.insert(v).second) {
+            in_list.values.push_back(std::move(v));
+          }
+        }
+      }
+      return ctx_->OpenRemoteQuery(op, &in_list, nullptr);
+    }
+    if (!p.upstream.empty()) {
+      storage::Table relocated(op.children[0]->schema);
+      for (Chunk& chunk : runs_[p.upstream[0]].output) {
+        relocated.AppendChunk(std::move(chunk));
+      }
+      runs_[p.upstream[0]].output.clear();
+      return ctx_->OpenRemoteQuery(op, nullptr, &relocated);
+    }
+    return ctx_->OpenRemoteQuery(op, nullptr, nullptr);
   }
 
   /// Streams morsel m's chunks from the source through the stage chain
@@ -383,94 +440,116 @@ class PipelineExecutor {
       run.partials[m]->BeginMorsel(static_cast<uint32_t>(m));
       partial = run.partials[m].get();
     }
+    auto feed = [&](const Chunk& chunk) {
+      return ProcessChunk(run, m, chunk, partial, scratch);
+    };
+    auto drain = [&](ChunkStream& stream) -> Status {
+      while (!MorselFull(run, m)) {
+        HANA_ASSIGN_OR_RETURN(std::optional<Chunk> chunk, stream());
+        if (!chunk.has_value()) break;
+        HANA_RETURN_IF_ERROR(feed(*chunk));
+      }
+      return Status::OK();
+    };
     switch (p.source) {
       case Pipeline::SourceKind::kScan: {
         if (run.partition.has_value()) {
           Status inner = Status::OK();
           Status scan_status =
               run.partition->scan_morsel(m, [&](const Chunk& in) {
-                inner = ProcessChunk(run, m, in, partial, scratch);
-                return inner.ok();
+                inner = feed(in);
+                return inner.ok() && !MorselFull(run, m);
               });
           HANA_RETURN_IF_ERROR(inner);
           return scan_status;
         }
         HANA_ASSIGN_OR_RETURN(ChunkStream stream,
-                              ctx_->OpenScanAt(*p.scan, view_));
-        while (true) {
-          HANA_ASSIGN_OR_RETURN(std::optional<Chunk> chunk, stream());
-          if (!chunk.has_value()) break;
-          HANA_RETURN_IF_ERROR(ProcessChunk(run, m, *chunk, partial, scratch));
-        }
-        return Status::OK();
+                              ctx_->OpenScan(*p.source_op, view_));
+        return drain(stream);
       }
-      case Pipeline::SourceKind::kSerialOp: {
-        HANA_ASSIGN_OR_RETURN(PhysicalOpPtr op,
-                              BuildPhysicalPlan(*p.serial_root, ctx_, view_));
-        HANA_RETURN_IF_ERROR(op->Open());
-        while (true) {
-          HANA_ASSIGN_OR_RETURN(std::optional<Chunk> chunk, op->Next());
-          if (!chunk.has_value()) break;
-          HANA_RETURN_IF_ERROR(ProcessChunk(run, m, *chunk, partial, scratch));
-        }
-        return Status::OK();
+      case Pipeline::SourceKind::kStream: {
+        HANA_ASSIGN_OR_RETURN(ChunkStream stream, OpenStream(p));
+        return drain(stream);
       }
       case Pipeline::SourceKind::kUpstream: {
-        // Upstream outputs, in listed (child) order, as one morsel. The
-        // producer finished before this pipeline launched, so its
-        // chunks can be consumed destructively (single consumer).
-        for (size_t uid : p.upstream) {
-          for (Chunk& chunk : runs_[uid].output) {
-            chunk.schema = p.source_schema;  // Restamp, like UnionOp.
-            HANA_RETURN_IF_ERROR(
-                ProcessChunk(run, m, chunk, partial, scratch));
+        // Upstream outputs as one morsel, one chunk from each upstream
+        // in turn (round-robin), so one chunk-heavy union branch cannot
+        // monopolize the stream and a LIMIT cutoff sees every branch
+        // early. The producers finished before this pipeline launched,
+        // so their chunks can be consumed destructively (single
+        // consumer).
+        for (size_t round = 0, live = 1; live > 0; ++round) {
+          live = 0;
+          for (size_t uid : p.upstream) {
+            std::vector<Chunk>& chunks = runs_[uid].output;
+            if (round >= chunks.size() || MorselFull(run, m)) continue;
+            ++live;
+            chunks[round].schema = p.source_schema;  // Union restamp.
+            HANA_RETURN_IF_ERROR(feed(chunks[round]));
           }
-          runs_[uid].output.clear();
         }
+        for (size_t uid : p.upstream) runs_[uid].output.clear();
         return Status::OK();
+      }
+      case Pipeline::SourceKind::kOneRow: {
+        // Table-less SELECT: exactly one row of constants.
+        static const std::vector<Value> kEmptyRow;
+        const LogicalOp& project = *p.source_op;
+        Chunk row = Chunk::Empty(project.schema);
+        for (size_t c = 0; c < project.exprs.size(); ++c) {
+          HANA_ASSIGN_OR_RETURN(Value v,
+                                EvalExprRow(*project.exprs[c], kEmptyRow));
+          row.columns[c]->Append(v);
+        }
+        return feed(row);
       }
     }
     return Status::Internal("unknown pipeline source");
   }
 
-  /// Runs the stage chain over one chunk, then feeds the sink — the
-  /// moved ProcessChunk of the old fused MorselPipelineOp.
+  /// Runs the stage chain over one chunk, then feeds the sink.
   [[nodiscard]] Status ProcessChunk(
       PipelineRun& run, size_t m, const Chunk& in,
       PartitionedGroupTable* partial,
       std::vector<RadixJoinTable::ProbeKeys>* scratch) {
     const Pipeline& p = *run.p;
+    if (MorselFull(run, m)) return Status::OK();  // LIMIT 0.
     Chunk owned;
     const Chunk* stage = &in;
     size_t probe_idx = 0;
     for (const PipelineStage& s : p.stages) {
       if (s.kind == PipelineStage::Kind::kFilter) {
         HANA_ASSIGN_OR_RETURN(owned, FilterChunk(*s.op->predicate, *stage));
+      } else if (s.kind == PipelineStage::Kind::kProject) {
+        HANA_ASSIGN_OR_RETURN(owned, ProjectChunk(*s.op, *stage));
       } else if (s.kind == PipelineStage::Kind::kJoinProbe) {
         HANA_ASSIGN_OR_RETURN(
             owned, ProbeJoinChunk(*s.build, *stage, &(*scratch)[probe_idx]));
         ++probe_idx;
-      } else {  // kProject
-        HANA_ASSIGN_OR_RETURN(owned, ProjectChunk(*s.op, *stage));
+      } else {  // kNestedLoopProbe
+        HANA_ASSIGN_OR_RETURN(owned, NestedLoopJoinChunk(*s.build, *stage));
       }
       stage = &owned;
     }
-    switch (p.sink) {
-      case Pipeline::SinkKind::kGroups:
-        return partial->AccumulateChunk(*stage);
-      case Pipeline::SinkKind::kJoinBuild:
-        run.rows.fetch_add(stage->num_rows(), std::memory_order_relaxed);
-        return p.build_target->table->AddBuildChunk(m, *stage);
-      case Pipeline::SinkKind::kCollect:
-      case Pipeline::SinkKind::kSort: {
-        if (stage->num_rows() == 0) return Status::OK();
-        Chunk out = stage == &in ? in : std::move(owned);
-        out.schema = p.output_schema;
-        run.collected[m].push_back(std::move(out));
-        return Status::OK();
-      }
+    if (p.sink == Pipeline::SinkKind::kGroups) {
+      return partial->AccumulateChunk(*stage);
     }
-    return Status::Internal("unknown pipeline sink");
+    if (p.sink == Pipeline::SinkKind::kJoinBuild &&
+        !p.build_target->nested_loop) {
+      run.rows.fetch_add(stage->num_rows(), std::memory_order_relaxed);
+      return p.build_target->table->AddBuildChunk(m, *stage);
+    }
+    // Collected sinks: kCollect, kSort and nested-loop builds.
+    if (stage->num_rows() == 0) return Status::OK();
+    Chunk out = stage == &in ? in : std::move(owned);
+    out.schema = p.output_schema;
+    if (std::optional<uint64_t> cap = RowCap(p); cap.has_value()) {
+      uint64_t room = *cap - run.collected_rows[m];
+      if (out.num_rows() > room) out = HeadRows(out, room);
+      run.collected_rows[m] += out.num_rows();
+    }
+    run.collected[m].push_back(std::move(out));
+    return Status::OK();
   }
 
   /// Merges per-morsel results in ascending morsel order — the step
@@ -481,9 +560,15 @@ class PipelineExecutor {
     for (Status& s : run.statuses) HANA_RETURN_IF_ERROR(s);
     switch (p.sink) {
       case Pipeline::SinkKind::kCollect: {
+        // A LIMIT keeps the first `cap` rows in morsel order.
+        uint64_t cap = RowCap(p).value_or(UINT64_MAX);
         uint64_t rows = 0;
         for (std::vector<Chunk>& morsel : run.collected) {
           for (Chunk& chunk : morsel) {
+            if (rows >= cap) break;
+            if (chunk.num_rows() > cap - rows) {
+              chunk = HeadRows(chunk, cap - rows);
+            }
             rows += chunk.num_rows();
             run.output.push_back(std::move(chunk));
           }
@@ -503,10 +588,7 @@ class PipelineExecutor {
                                      AggPartitionCount(p, policy_),
                                      policy_.parallel_agg);
         size_t parts = merged.num_partitions();
-        bool fan_out = policy_.pool != nullptr && parts > 1 &&
-                       policy_.executor != ExecutorMode::kSerial &&
-                       policy_.dop > 1;
-        if (fan_out) {
+        if (policy_.pool != nullptr && parts > 1 && policy_.dop > 1) {
           // ParallelFor from within a pool task is safe (caller
           // participation — same pattern as RadixJoinTable::Finalize).
           policy_.pool->ParallelFor(
@@ -540,10 +622,23 @@ class PipelineExecutor {
         run.rows.store(merged.num_groups(), std::memory_order_relaxed);
         return Status::OK();
       }
-      case Pipeline::SinkKind::kJoinBuild:
-        return p.build_target->table->Finalize(
-            policy_.pool,
-            policy_.executor == ExecutorMode::kSerial ? 1 : policy_.dop);
+      case Pipeline::SinkKind::kJoinBuild: {
+        JoinBuildState* b = p.build_target;
+        if (!b->nested_loop) {
+          return b->table->Finalize(policy_.pool, policy_.dop);
+        }
+        b->rows.clear();
+        for (const std::vector<Chunk>& morsel : run.collected) {
+          for (const Chunk& chunk : morsel) {
+            for (size_t r = 0; r < chunk.num_rows(); ++r) {
+              b->rows.push_back(chunk.Row(r));
+            }
+          }
+        }
+        run.collected.clear();
+        run.rows.store(b->rows.size(), std::memory_order_relaxed);
+        return Status::OK();
+      }
       case Pipeline::SinkKind::kSort: {
         std::vector<std::vector<Value>> rows;
         for (std::vector<Chunk>& morsel : run.collected) {
@@ -608,38 +703,6 @@ class PipelineExecutor {
   bool region_open_ GUARDED_BY(mu_) = false;
 };
 
-/// Physical operator running a decomposed subtree through the pipeline
-/// executor; replaces the old single-fused-pipeline MorselPipelineOp.
-class SubPipelineOp : public PhysicalOp {
- public:
-  SubPipelineOp(std::shared_ptr<Schema> schema, ExecContext* ctx,
-                PipelinePlan plan, const mvcc::ReadView& view)
-      : PhysicalOp(std::move(schema)),
-        ctx_(ctx),
-        plan_(std::move(plan)),
-        view_(view) {}
-
-  Status Open() override {
-    chunks_.clear();
-    next_ = 0;
-    PipelineExecutor executor(&plan_, ctx_, ctx_->parallel_policy(), view_);
-    HANA_ASSIGN_OR_RETURN(chunks_, executor.Run(nullptr));
-    return Status::OK();
-  }
-
-  Result<std::optional<Chunk>> Next() override {
-    if (next_ >= chunks_.size()) return std::optional<Chunk>();
-    return std::optional<Chunk>(std::move(chunks_[next_++]));
-  }
-
- private:
-  ExecContext* ctx_;
-  PipelinePlan plan_;
-  mvcc::ReadView view_;
-  std::vector<Chunk> chunks_;
-  size_t next_ = 0;
-};
-
 void AnnotateNode(LogicalOp* op, const PipelinePlan& plan, int inherited) {
   auto it = plan.op_pipeline.find(op);
   int id = it != plan.op_pipeline.end() ? static_cast<int>(it->second)
@@ -650,54 +713,27 @@ void AnnotateNode(LogicalOp* op, const PipelinePlan& plan, int inherited) {
 
 }  // namespace
 
-Result<PhysicalOpPtr> TrySubPipeline(const plan::LogicalOp& logical,
-                                     ExecContext* ctx,
-                                     const mvcc::ReadView& view) {
-  ParallelPolicy policy = ctx->parallel_policy();
-  if (policy.pool == nullptr) return PhysicalOpPtr();
-  PipelinePlan plan = DecomposePlan(logical, policy);
-  if (plan.trivial()) return PhysicalOpPtr();
-  return PhysicalOpPtr(std::make_unique<SubPipelineOp>(
-      logical.schema, ctx, std::move(plan), view));
-}
-
 Result<storage::Table> ExecutePlanWithStats(const plan::LogicalOp& logical,
                                             ExecContext* ctx,
                                             std::vector<PipelineStats>* stats) {
   if (stats != nullptr) stats->clear();
   // One read lease per statement: every scan the plan opens — across
-  // pipelines, morsels and serial sub-plans — resolves against the same
-  // MVCC view, and the lease's snapshot registration holds the merge
-  // watermark back until the statement finishes (RAII on return).
+  // pipelines and morsels — resolves against the same MVCC view, and
+  // the lease's snapshot registration holds the merge watermark back
+  // until the statement finishes (RAII on return).
   ExecContext::ReadLease lease = ctx->AcquireReadLease();
-  ParallelPolicy policy = ctx->parallel_policy();
-  if (policy.pool != nullptr) {
-    PipelinePlan plan = DecomposePlan(logical, policy);
-    if (!plan.trivial()) {
-      PipelineExecutor executor(&plan, ctx, policy, lease.view);
-      HANA_ASSIGN_OR_RETURN(std::vector<Chunk> chunks, executor.Run(stats));
-      storage::Table table(plan.root().output_schema);
-      for (Chunk& chunk : chunks) table.AppendChunk(std::move(chunk));
-      return table;
-    }
-  }
-  HANA_ASSIGN_OR_RETURN(PhysicalOpPtr root,
-                        BuildPhysicalPlan(logical, ctx, lease.view));
-  return DrainToTable(root.get());
+  PipelinePlan plan = DecomposePlan(logical);
+  PipelineExecutor executor(&plan, ctx, ctx->parallel_policy(), lease.view);
+  HANA_ASSIGN_OR_RETURN(std::vector<Chunk> chunks, executor.Run(stats));
+  storage::Table table(plan.root().output_schema);
+  for (Chunk& chunk : chunks) table.AppendChunk(std::move(chunk));
+  return table;
 }
 
-Result<storage::Table> ExecutePlan(const plan::LogicalOp& logical,
-                                   ExecContext* ctx) {
-  return ExecutePlanWithStats(logical, ctx, nullptr);
-}
-
-std::vector<plan::PipelineSummary> AnnotatePipelines(plan::LogicalOp* root,
-                                                     ExecContext* ctx) {
-  std::vector<plan::PipelineSummary> out;
-  ParallelPolicy policy = ctx->parallel_policy();
-  if (policy.pool == nullptr) return out;
-  PipelinePlan plan = DecomposePlan(*root, policy);
+std::vector<plan::PipelineSummary> AnnotatePipelines(plan::LogicalOp* root) {
+  PipelinePlan plan = DecomposePlan(*root);
   AnnotateNode(root, plan, static_cast<int>(plan.root().id));
+  std::vector<plan::PipelineSummary> out;
   for (const Pipeline& p : plan.pipelines) {
     plan::PipelineSummary summary;
     summary.id = static_cast<int>(p.id);

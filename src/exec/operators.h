@@ -2,7 +2,6 @@
 #define HANA_EXEC_OPERATORS_H_
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -10,7 +9,6 @@
 #include "common/mvcc.h"
 #include "common/result.h"
 #include "common/task_pool.h"
-#include "plan/join_analysis.h"
 #include "plan/logical.h"
 #include "storage/column_vector.h"
 
@@ -32,27 +30,13 @@ struct PushdownInList {
 /// constant instead of repeating the literal.
 inline constexpr size_t kDefaultMorselRows = 16384;
 
-/// How ExecutePlan drives the pipeline DAG (the `executor` platform
-/// knob). All three modes share one plan decomposition and one
-/// morsel-order merge, so their results are bit-identical; only the
-/// scheduling differs.
-enum class ExecutorMode {
-  kSerial,    // Pipelines in dependency order, morsels inline.
-  kFused,     // One pipeline at a time, morsels in parallel (the old
-              // single-fused-pipeline engine's schedule).
-  kPipeline,  // Ready pipelines scheduled concurrently on the pool.
-};
-
 /// Degree-of-parallelism policy the hosting platform grants the
-/// executor. A null pool (the default) keeps every operator serial.
+/// executor. A null pool (the default) runs every pipeline inline at
+/// dop 1.
 struct ParallelPolicy {
   TaskPool* pool = nullptr;
   size_t dop = 1;  // Worker budget per parallel region.
   size_t morsel_rows = kDefaultMorselRows;  // Rows per partitioned-scan morsel.
-  /// Allow joins to fuse into morsel pipelines (radix hash join).
-  /// Off forces the serial row-at-a-time hash join, regardless of dop;
-  /// scans and aggregates stay eligible for pipelines either way.
-  bool parallel_join = true;
   /// Allow aggregate sinks to use the radix-partitioned two-phase merge
   /// with vectorized column-wise key hashing. Off degenerates the sink
   /// to one boxed partition folded serially (the legacy path) — results
@@ -62,8 +46,6 @@ struct ParallelPolicy {
   /// cardinality-based choice (or the kMaxPartitions default) decide;
   /// nonzero forces the count (rounded to a power of two, clamped).
   size_t agg_partitions = 0;
-  /// Pipeline scheduling mode (ignored when pool is null).
-  ExecutorMode executor = ExecutorMode::kPipeline;
 };
 
 /// A base-table scan decomposed into fixed, contiguous morsels. The
@@ -96,19 +78,16 @@ class ExecContext {
     mvcc::SnapshotHandle hold;
   };
 
-  /// Acquires the statement-level read lease; ExecutePlan calls this
-  /// once and releases it (via the handle) when the statement finishes.
+  /// Acquires the statement-level read lease; ExecutePlanWithStats
+  /// calls this once and releases it (via the handle) when the
+  /// statement finishes.
   virtual ReadLease AcquireReadLease() { return {}; }
 
-  [[nodiscard]] virtual Result<ChunkStream> OpenScan(const plan::LogicalOp& scan) = 0;
-
-  /// View-pinned scan: chunks reflect exactly the rows visible at
-  /// `view`. Contexts without versioned storage ignore the view.
-  [[nodiscard]] virtual Result<ChunkStream> OpenScanAt(
-      const plan::LogicalOp& scan, const mvcc::ReadView& view) {
-    (void)view;
-    return OpenScan(scan);
-  }
+  /// Streams a base-table scan whose chunks reflect exactly the rows
+  /// visible at `view`. Contexts without versioned storage ignore the
+  /// view.
+  [[nodiscard]] virtual Result<ChunkStream> OpenScan(
+      const plan::LogicalOp& scan, const mvcc::ReadView& view) = 0;
 
   /// Executes a shipped remote query. `in_list` (may be null) carries
   /// semijoin-pushdown keys spliced into the /*PUSHDOWN*/ marker;
@@ -122,29 +101,23 @@ class ExecContext {
       const plan::LogicalOp& fn) = 0;
 
   /// Parallelism granted to this context's queries. The default policy
-  /// (no pool) makes every physical plan run serially.
+  /// (no pool) runs every pipeline inline at dop 1.
   virtual ParallelPolicy parallel_policy() { return {}; }
 
-  /// Morsel decomposition of a base-table scan, or nullopt when the
-  /// scan target does not support partitioned access (remote sources,
-  /// hybrid umbrella tables). The decomposition must not depend on the
-  /// degree of parallelism.
-  [[nodiscard]] virtual Result<std::optional<PartitionSource>> OpenPartitionedScan(
-      const plan::LogicalOp& scan, size_t morsel_rows) {
-    (void)scan;
-    (void)morsel_rows;
-    return std::optional<PartitionSource>();
-  }
-
-  /// View-pinned morsel decomposition. All morsels of one source must
-  /// share one storage snapshot, so the decomposition (and every
-  /// morsel's row range) is fixed against `view` — concurrent commits
+  /// Morsel decomposition of a base-table scan pinned to `view`, or
+  /// nullopt when the scan target does not support partitioned access
+  /// (remote sources, hybrid umbrella tables). The decomposition must
+  /// not depend on the degree of parallelism, and all morsels of one
+  /// source share one storage snapshot: the decomposition (and every
+  /// morsel's row range) is fixed against `view`, so concurrent commits
   /// cannot skew num_rows between morsel planning and morsel scans.
   [[nodiscard]] virtual Result<std::optional<PartitionSource>>
-  OpenPartitionedScanAt(const plan::LogicalOp& scan, size_t morsel_rows,
-                        const mvcc::ReadView& view) {
+  OpenPartitionedScan(const plan::LogicalOp& scan, size_t morsel_rows,
+                      const mvcc::ReadView& view) {
+    (void)scan;
+    (void)morsel_rows;
     (void)view;
-    return OpenPartitionedScan(scan, morsel_rows);
+    return std::optional<PartitionSource>();
   }
 
   /// Brackets a region in which federation branches are dispatched
@@ -153,44 +126,6 @@ class ExecContext {
   virtual void BeginConcurrentRemoteDispatch() {}
   virtual void EndConcurrentRemoteDispatch() {}
 };
-
-/// Volcano-style physical operator.
-class PhysicalOp {
- public:
-  explicit PhysicalOp(std::shared_ptr<Schema> schema)
-      : schema_(std::move(schema)) {}
-  virtual ~PhysicalOp() = default;
-
-  PhysicalOp(const PhysicalOp&) = delete;
-  PhysicalOp& operator=(const PhysicalOp&) = delete;
-
-  [[nodiscard]] virtual Status Open() = 0;
-  [[nodiscard]] virtual Result<std::optional<Chunk>> Next() = 0;
-
-  const std::shared_ptr<Schema>& schema() const { return schema_; }
-
- protected:
-  std::shared_ptr<Schema> schema_;
-};
-
-using PhysicalOpPtr = std::unique_ptr<PhysicalOp>;
-
-/// Lowers a bound logical plan to a physical operator tree. The logical
-/// plan must outlive execution (operators keep pointers into it).
-/// The two-argument form scans at the latest-visible view; the
-/// three-argument form pins every base-table scan to `view`.
-[[nodiscard]] Result<PhysicalOpPtr> BuildPhysicalPlan(const plan::LogicalOp& logical,
-                                        ExecContext* ctx);
-[[nodiscard]] Result<PhysicalOpPtr> BuildPhysicalPlan(const plan::LogicalOp& logical,
-                                        ExecContext* ctx,
-                                        const mvcc::ReadView& view);
-
-/// Builds, opens and fully drains the plan into a materialized table.
-[[nodiscard]] Result<storage::Table> ExecutePlan(const plan::LogicalOp& logical,
-                                   ExecContext* ctx);
-
-/// Drains a physical operator into a table (testing hook).
-[[nodiscard]] Result<storage::Table> DrainToTable(PhysicalOp* op);
 
 }  // namespace hana::exec
 

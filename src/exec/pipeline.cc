@@ -902,70 +902,101 @@ Result<Chunk> ProbeJoinChunk(const JoinBuildState& state, const Chunk& probe,
   return out;
 }
 
-namespace {
-
-const char* KindLabel(LogicalKind kind) {
-  switch (kind) {
-    case LogicalKind::kScan:
-      return "scan";
-    case LogicalKind::kTableFunctionScan:
-      return "table function";
-    case LogicalKind::kFilter:
-      return "filter";
-    case LogicalKind::kProject:
-      return "project";
-    case LogicalKind::kJoin:
-      return "join";
-    case LogicalKind::kAggregate:
-      return "aggregate";
-    case LogicalKind::kSort:
-      return "sort";
-    case LogicalKind::kLimit:
-      return "limit";
-    case LogicalKind::kUnion:
-      return "union";
-    case LogicalKind::kRemoteQuery:
-      return "remote query";
+Result<Chunk> NestedLoopJoinChunk(const JoinBuildState& state,
+                                  const Chunk& probe) {
+  JoinKind kind = state.join->join_kind;
+  const BoundExpr* condition = state.join->condition.get();
+  bool existence = kind == JoinKind::kSemi || kind == JoinKind::kAnti;
+  Chunk out = Chunk::Empty(state.join->schema);
+  size_t probe_width = probe.num_columns();
+  size_t build_width = state.build->schema->num_columns();
+  std::vector<Value> combined;  // Probe row, then the build row.
+  for (size_t r = 0; r < probe.num_rows(); ++r) {
+    combined = probe.Row(r);
+    combined.resize(probe_width + build_width);
+    bool matched = false;
+    for (const std::vector<Value>& build : state.rows) {
+      std::copy(build.begin(), build.end(), combined.begin() + probe_width);
+      if (condition != nullptr) {
+        HANA_ASSIGN_OR_RETURN(Value keep, EvalExprRow(*condition, combined));
+        if (keep.is_null() || !IsTruthy(keep)) continue;
+      }
+      matched = true;
+      if (existence) break;  // Semi/anti need only existence.
+      out.AppendRow(combined);
+    }
+    if (kind == JoinKind::kSemi && matched) out.AppendRowFrom(probe, r);
+    if (kind == JoinKind::kAnti && !matched) out.AppendRowFrom(probe, r);
+    if (kind == JoinKind::kLeft && !matched) {
+      std::fill(combined.begin() + probe_width, combined.end(), Value::Null());
+      out.AppendRow(combined);
+    }
   }
-  return "?";
+  return out;
 }
+
+namespace {
 
 /// Recursive plan splitter. Pipelines are appended post-order, so every
 /// dependency has a smaller id and the root pipeline comes out last.
 struct Decomposer {
-  const ParallelPolicy& policy;
   PipelinePlan plan;
 
-  /// A join the executor can run as build pipeline + probe stage. The
-  /// decision is purely structural (plan shape + policy flags) so it is
-  /// identical at every degree of parallelism.
-  bool JoinEligible(const LogicalOp& op, plan::JoinConditionParts* parts) const {
-    if (op.kind != LogicalKind::kJoin || op.condition == nullptr ||
-        op.semijoin_pushdown || op.children.size() != 2) {
-      return false;
+  /// Decomposes the subtree rooted at `node` into pipelines producing
+  /// its collected output; peels a top aggregate/sort/limit into the
+  /// sink.
+  size_t Subtree(const LogicalOp& node) {
+    switch (node.kind) {
+      case LogicalKind::kAggregate:
+        return Build(*node.children[0], Pipeline::SinkKind::kGroups, &node,
+                     nullptr);
+      case LogicalKind::kSort:
+        return Build(*node.children[0], Pipeline::SinkKind::kSort, &node,
+                     nullptr);
+      case LogicalKind::kLimit:
+        return Build(*node.children[0], Pipeline::SinkKind::kCollect, &node,
+                     nullptr);
+      default:
+        return Build(node, Pipeline::SinkKind::kCollect, nullptr, nullptr);
     }
-    if (op.join_kind != JoinKind::kInner && op.join_kind != JoinKind::kLeft &&
-        op.join_kind != JoinKind::kSemi && op.join_kind != JoinKind::kAnti) {
-      return false;
-    }
-    if (!policy.parallel_join) return false;
-    size_t left_arity = op.children[0]->schema->num_columns();
-    *parts = plan::AnalyzeJoinCondition(*op.condition, left_arity);
-    return !parts->equi_keys.empty();
   }
 
-  /// Decomposes the subtree rooted at `node` into pipelines producing
-  /// its collected output; peels a top aggregate/sort into the sink.
-  size_t Subtree(const LogicalOp& node) {
-    if (node.kind == LogicalKind::kAggregate) {
-      return Build(*node.children[0], Pipeline::SinkKind::kGroups, &node,
-                   nullptr);
+  /// Splits off the build side of `join` into its own pipeline(s) and
+  /// returns the shared state its probe stage reads. A semijoin
+  /// pushdown first collects the probe side (returned in
+  /// `collected_probe`): its distinct keys must be known before the
+  /// remote build side can be queried.
+  JoinBuildState* AddJoinBuild(const LogicalOp& join,
+                               std::vector<size_t>* deps,
+                               std::optional<size_t>* collected_probe) {
+    auto state = std::make_unique<JoinBuildState>();
+    JoinBuildState* raw = state.get();
+    plan.builds.push_back(std::move(state));
+    raw->join = &join;
+    if (join.condition != nullptr && join.join_kind != JoinKind::kCross) {
+      raw->parts = plan::AnalyzeJoinCondition(
+          *join.condition, join.children[0]->schema->num_columns());
     }
-    if (node.kind == LogicalKind::kSort) {
-      return Build(*node.children[0], Pipeline::SinkKind::kSort, &node,
-                   nullptr);
+    raw->nested_loop = raw->parts.equi_keys.empty();
+    raw->build_is_left = !raw->nested_loop && !join.semijoin_pushdown &&
+                         join.join_kind == JoinKind::kInner && join.build_left;
+    raw->build = join.children[raw->build_is_left ? 0 : 1].get();
+    for (const auto& ek : raw->parts.equi_keys) {
+      raw->build_key_exprs.push_back(raw->build_is_left ? ek.left.get()
+                                                        : ek.right.get());
+      raw->probe_key_exprs.push_back(raw->build_is_left ? ek.right.get()
+                                                        : ek.left.get());
     }
-    return Build(node, Pipeline::SinkKind::kCollect, nullptr, nullptr);
+    if (join.semijoin_pushdown) *collected_probe = Subtree(*join.children[0]);
+    size_t build_id =
+        Build(*raw->build, Pipeline::SinkKind::kJoinBuild, nullptr, raw);
+    if (collected_probe->has_value()) {
+      Pipeline& build = plan.pipelines[build_id];
+      build.in_list_from = *collected_probe;
+      build.deps.push_back(**collected_probe);
+    }
+    deps->push_back(build_id);
+    return raw;
   }
 
   /// Builds one pipeline whose stage chain starts at `top` and ends in
@@ -974,6 +1005,7 @@ struct Decomposer {
                const LogicalOp* sink_op, JoinBuildState* build_target) {
     Pipeline p;
     std::vector<size_t> deps;
+    std::optional<size_t> collected_probe;
     // Walk the streaming chain top-down (stages reversed afterwards so
     // they run innermost-first).
     const LogicalOp* cur = &top;
@@ -988,26 +1020,14 @@ struct Decomposer {
         cur = cur->children[0].get();
         continue;
       }
-      plan::JoinConditionParts parts;
-      if (JoinEligible(*cur, &parts)) {
-        auto state = std::make_unique<JoinBuildState>();
-        JoinBuildState* raw = state.get();
-        raw->join = cur;
-        raw->build_is_left =
-            cur->join_kind == JoinKind::kInner && cur->build_left;
-        raw->build = cur->children[raw->build_is_left ? 0 : 1].get();
-        raw->parts = std::move(parts);
-        for (const auto& ek : raw->parts.equi_keys) {
-          raw->build_key_exprs.push_back(
-              raw->build_is_left ? ek.left.get() : ek.right.get());
-          raw->probe_key_exprs.push_back(
-              raw->build_is_left ? ek.right.get() : ek.left.get());
-        }
-        plan.builds.push_back(std::move(state));
-        deps.push_back(
-            Build(*raw->build, Pipeline::SinkKind::kJoinBuild, nullptr, raw));
-        p.stages.push_back({PipelineStage::Kind::kJoinProbe, cur, raw});
-        cur = cur->children[raw->build_is_left ? 1 : 0].get();
+      if (cur->kind == LogicalKind::kJoin) {
+        JoinBuildState* b = AddJoinBuild(*cur, &deps, &collected_probe);
+        p.stages.push_back({b->nested_loop
+                                ? PipelineStage::Kind::kNestedLoopProbe
+                                : PipelineStage::Kind::kJoinProbe,
+                            cur, b});
+        cur = cur->children[b->build_is_left ? 1 : 0].get();
+        if (collected_probe.has_value()) break;  // Probe side already run.
         continue;
       }
       break;
@@ -1016,29 +1036,44 @@ struct Decomposer {
 
     // Resolve the source terminator.
     std::string source_label;
-    if (cur->kind == LogicalKind::kScan) {
+    const LogicalOp* union_op = nullptr;
+    auto add_upstream = [&](size_t id) {
+      p.upstream.push_back(id);
+      deps.push_back(id);
+    };
+    if (collected_probe.has_value()) {
+      p.source = Pipeline::SourceKind::kUpstream;
+      add_upstream(*collected_probe);
+      source_label = StrFormat("from P%zu", *collected_probe);
+    } else if (cur->kind == LogicalKind::kScan) {
       p.source = Pipeline::SourceKind::kScan;
-      p.scan = cur;
+      p.source_op = cur;
       source_label = "scan " + cur->table.name;
+    } else if (cur->kind == LogicalKind::kTableFunctionScan) {
+      p.source = Pipeline::SourceKind::kStream;
+      p.source_op = cur;
+      source_label = "table function";
+    } else if (cur->kind == LogicalKind::kRemoteQuery) {
+      p.source = Pipeline::SourceKind::kStream;
+      p.source_op = cur;
+      source_label = "remote query";
+      if (cur->relocate_local_child && !cur->children.empty()) {
+        add_upstream(Subtree(*cur->children[0]));
+        source_label += StrFormat(" <- P%zu", p.upstream[0]);
+      }
+    } else if (cur->kind == LogicalKind::kProject) {
+      p.source = Pipeline::SourceKind::kOneRow;  // Table-less SELECT.
+      p.source_op = cur;
+      source_label = "one row";
     } else if (cur->kind == LogicalKind::kUnion) {
       p.source = Pipeline::SourceKind::kUpstream;
-      for (const auto& child : cur->children) {
-        size_t cid = Subtree(*child);
-        p.upstream.push_back(cid);
-        deps.push_back(cid);
-      }
+      for (const auto& child : cur->children) add_upstream(Subtree(*child));
       source_label = "union";
-    } else if (cur->kind == LogicalKind::kAggregate ||
-               cur->kind == LogicalKind::kSort) {
-      size_t cid = Subtree(*cur);
-      p.upstream.push_back(cid);
-      deps.push_back(cid);
+      union_op = cur;
+    } else {  // A breaker (aggregate, sort, limit) feeding this chain.
       p.source = Pipeline::SourceKind::kUpstream;
-      source_label = StrFormat("from P%zu", cid);
-    } else {
-      p.source = Pipeline::SourceKind::kSerialOp;
-      p.serial_root = cur;
-      source_label = std::string("serial ") + KindLabel(cur->kind);
+      add_upstream(Subtree(*cur));
+      source_label = StrFormat("from P%zu", p.upstream[0]);
     }
     p.source_schema = cur->schema;
 
@@ -1071,10 +1106,17 @@ struct Decomposer {
         case PipelineStage::Kind::kJoinProbe:
           p.label += " -> probe";
           break;
+        case PipelineStage::Kind::kNestedLoopProbe:
+          p.label += " -> nested loop";
+          break;
       }
     }
     switch (sink) {
       case Pipeline::SinkKind::kCollect:
+        if (sink_op != nullptr) {
+          p.label += StrFormat(" -> limit %lld",
+                               static_cast<long long>(sink_op->limit));
+        }
         break;
       case Pipeline::SinkKind::kGroups:
         p.label += " -> aggregate";
@@ -1090,13 +1132,9 @@ struct Decomposer {
     p.id = plan.pipelines.size();
     // EXPLAIN annotation: every node this pipeline touches directly.
     for (const PipelineStage& s : p.stages) plan.op_pipeline[s.op] = p.id;
-    if (p.scan != nullptr) plan.op_pipeline[p.scan] = p.id;
-    if (p.serial_root != nullptr) plan.op_pipeline[p.serial_root] = p.id;
+    if (p.source_op != nullptr) plan.op_pipeline[p.source_op] = p.id;
     if (sink_op != nullptr) plan.op_pipeline[sink_op] = p.id;
-    if (p.source == Pipeline::SourceKind::kUpstream &&
-        cur->kind == LogicalKind::kUnion) {
-      plan.op_pipeline[cur] = p.id;
-    }
+    if (union_op != nullptr) plan.op_pipeline[union_op] = p.id;
     plan.pipelines.push_back(std::move(p));
     return plan.pipelines.back().id;
   }
@@ -1104,9 +1142,8 @@ struct Decomposer {
 
 }  // namespace
 
-PipelinePlan DecomposePlan(const plan::LogicalOp& root,
-                           const ParallelPolicy& policy) {
-  Decomposer d{policy, {}};
+PipelinePlan DecomposePlan(const plan::LogicalOp& root) {
+  Decomposer d;
   d.Subtree(root);
   return std::move(d.plan);
 }

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -21,8 +22,8 @@
 namespace hana::exec {
 
 // ---------------------------------------------------------------------
-// Chunk-at-a-time operator kernels, shared by the pipeline executor and
-// the serial Volcano operators in operators.cc.
+// Chunk-at-a-time operator kernels run by the pipeline executor's
+// stages and sinks.
 // ---------------------------------------------------------------------
 
 inline size_t HashKey(const std::vector<Value>& key) {
@@ -130,8 +131,8 @@ class AggKeyBlock {
 };
 
 /// Hash table mapping group keys to per-aggregate states; groups keep
-/// first-seen order. Shared by the serial HashAggregateOp and the
-/// per-morsel partial aggregation of the pipeline executor.
+/// first-seen order. One per radix partition of the pipeline
+/// executor's per-morsel partial aggregation.
 ///
 /// Two key layouts, fixed at construction. Vectorized tables store one
 /// typed ColumnVector cell per key column per group (hashed and
@@ -351,8 +352,10 @@ size_t DefaultAggPartitions(const std::vector<plan::BoundExprPtr>& group_by);
 // Pipeline decomposition: a physical plan split at its breakers.
 // ---------------------------------------------------------------------
 
-/// Shared state of one hash-join breaker: the build pipeline fills and
-/// finalizes `table`; the probe pipeline (a dependent) probes it.
+/// Shared state of one join breaker: the build pipeline fills it, the
+/// probe pipeline (a dependent) reads it. Joins with a usable equi key
+/// build and finalize the radix `table`; the rest (no equi key, CROSS
+/// JOIN) collect the build side into `rows` for a nested-loop probe.
 struct JoinBuildState {
   const plan::LogicalOp* join = nullptr;  // The kJoin node.
   const plan::LogicalOp* build = nullptr;  // Build-side subtree root.
@@ -362,9 +365,13 @@ struct JoinBuildState {
   plan::JoinConditionParts parts;
   std::vector<const plan::BoundExpr*> build_key_exprs;
   std::vector<const plan::BoundExpr*> probe_key_exprs;
+  bool nested_loop = false;  // Probe by nested loop instead of `table`.
   /// Created at build-pipeline prepare time, finalized when the build
   /// pipeline finishes, read-only to the probe pipeline afterwards.
   std::unique_ptr<RadixJoinTable> table;
+  /// Nested loop: the build side's rows in morsel order, set when the
+  /// build pipeline finishes, read-only to the probe pipeline.
+  std::vector<std::vector<Value>> rows;
 };
 
 /// Probes one chunk against a finalized join table, emitting joined
@@ -376,12 +383,19 @@ struct JoinBuildState {
     const JoinBuildState& state, const storage::Chunk& probe,
     RadixJoinTable::ProbeKeys* scratch);
 
+/// Nested-loop probe of one chunk against the collected build rows:
+/// for each probe row, every build row in order, the join condition
+/// (if any) evaluated over the combined left++right row. Build is
+/// always the right child.
+[[nodiscard]] Result<storage::Chunk> NestedLoopJoinChunk(
+    const JoinBuildState& state, const storage::Chunk& probe);
+
 /// One streaming stage of a pipeline (runs inside every morsel task).
 struct PipelineStage {
-  enum class Kind { kFilter, kProject, kJoinProbe };
+  enum class Kind { kFilter, kProject, kJoinProbe, kNestedLoopProbe };
   Kind kind;
   const plan::LogicalOp* op = nullptr;   // kFilter / kProject node.
-  JoinBuildState* build = nullptr;       // kJoinProbe: table to probe.
+  JoinBuildState* build = nullptr;       // Probe kinds: state to probe.
 };
 
 /// One pipeline: a source feeding a stage chain into a breaker sink.
@@ -394,28 +408,40 @@ struct Pipeline {
   enum class SourceKind {
     kScan,      // Base-table scan; morsel-partitioned when the context
                 // supports it, else a single-morsel stream.
-    kSerialOp,  // Opaque Volcano subplan drained as one morsel.
-    kUpstream,  // Output chunks of upstream pipelines, in order, as one
-                // morsel (union branches; nested breaker outputs).
+    kStream,    // Table function or remote query, as one morsel.
+    kUpstream,  // Output chunks of upstream pipelines as one morsel,
+                // interleaved round-robin in listed order (union
+                // branches; nested breaker outputs).
+    kOneRow,    // Table-less SELECT: one row of the project's constants.
   };
-  SourceKind source = SourceKind::kSerialOp;
-  const plan::LogicalOp* scan = nullptr;         // kScan.
-  const plan::LogicalOp* serial_root = nullptr;  // kSerialOp.
-  std::vector<size_t> upstream;                  // kUpstream, child order.
+  SourceKind source = SourceKind::kScan;
+  /// kScan / kStream / kOneRow: the scan, table function, remote query
+  /// or child-less project node.
+  const plan::LogicalOp* source_op = nullptr;
+  /// kUpstream: the pipelines read, in child order. kStream over a
+  /// relocating remote query: the pipeline collecting the local child,
+  /// uploaded before the remote query runs.
+  std::vector<size_t> upstream;
+  /// kStream semijoin-pushdown build: the pipeline collecting the probe
+  /// side, whose distinct first-key values become the remote IN-list.
+  std::optional<size_t> in_list_from;
   /// Schema chunks carry when they enter the stage chain (upstream
-  /// chunks are restamped with it, the way UnionOp restamps children).
+  /// chunks are restamped with it: union branches may carry different
+  /// qualified names).
   std::shared_ptr<Schema> source_schema;
 
   std::vector<PipelineStage> stages;  // In execution order.
 
   enum class SinkKind {
-    kCollect,    // Chunks merged in (morsel, chunk) order.
+    kCollect,    // Chunks merged in (morsel, chunk) order; a LIMIT
+                 // caps each morsel and truncates in morsel order.
     kGroups,     // Per-morsel partial GroupTables merged in morsel order.
     kJoinBuild,  // Radix staging per morsel, finalize on finish.
     kSort,       // Rows concatenated in morsel order, stable-sorted.
   };
   SinkKind sink = SinkKind::kCollect;
-  const plan::LogicalOp* sink_op = nullptr;   // kGroups / kSort node.
+  /// kGroups / kSort node; kCollect: the LIMIT node capping it, if any.
+  const plan::LogicalOp* sink_op = nullptr;
   JoinBuildState* build_target = nullptr;     // kJoinBuild.
   std::shared_ptr<Schema> output_schema;      // Schema of emitted chunks.
   std::string label;                          // For stats and EXPLAIN.
@@ -428,33 +454,19 @@ struct PipelinePlan {
   std::vector<Pipeline> pipelines;
   std::vector<std::unique_ptr<JoinBuildState>> builds;
   /// Which pipeline each visited logical node was assigned to (EXPLAIN
-  /// annotation). Nodes inside an opaque kSerialOp subtree are not
-  /// listed; they inherit their parent's pipeline.
+  /// annotation). Unlisted nodes inherit their parent's pipeline.
   std::unordered_map<const plan::LogicalOp*, size_t> op_pipeline;
 
   const Pipeline& root() const { return pipelines.back(); }
-
-  /// True when the decomposition degenerated to a single opaque serial
-  /// pipeline with no stages — running it through the executor would
-  /// just add scheduling overhead over the plain Volcano drain.
-  bool trivial() const {
-    return pipelines.size() == 1 &&
-           pipelines[0].source == Pipeline::SourceKind::kSerialOp &&
-           pipelines[0].stages.empty() &&
-           pipelines[0].sink == Pipeline::SinkKind::kCollect;
-  }
 };
 
-/// Splits `root` at its pipeline breakers (hash-join build, hash
-/// aggregate, sort, union) into a dependency DAG of pipelines. Purely
-/// structural: eligibility depends only on the plan shape and the
-/// policy flags — never on the degree of parallelism or the scan
-/// targets — so a query decomposes identically at every thread count.
-/// Joins fuse as probe stages only when `policy.parallel_join` is set
-/// and the condition has a usable equi key; everything else becomes an
-/// opaque kSerialOp source over the Volcano fallback operators.
-PipelinePlan DecomposePlan(const plan::LogicalOp& root,
-                           const ParallelPolicy& policy);
+/// Splits `root` at its pipeline breakers (join build, aggregate, sort,
+/// limit, union, relocation upload, semijoin-pushdown probe side) into
+/// a dependency DAG of pipelines covering every logical operator.
+/// Purely structural — the decomposition depends only on the plan
+/// shape, never on the degree of parallelism or the scan targets — so
+/// a query decomposes identically at every thread count.
+PipelinePlan DecomposePlan(const plan::LogicalOp& root);
 
 }  // namespace hana::exec
 

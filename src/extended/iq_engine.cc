@@ -2,6 +2,7 @@
 
 #include <deque>
 
+#include "exec/executor.h"
 #include "plan/binder.h"
 #include "plan/rewrites.h"
 #include "sql/parser.h"
@@ -14,7 +15,7 @@ Result<storage::Table> IqEngine::ExecuteSql(const std::string& sql) {
                         plan::BindSelectStatement(*this, *select));
   HANA_RETURN_IF_ERROR(plan::PushDownFilters(&logical));
   plan::PushScanRanges(logical.get());
-  return exec::ExecutePlan(*logical, this);
+  return exec::ExecutePlanWithStats(*logical, this, nullptr);
 }
 
 Status IqEngine::CreateAndLoad(const std::string& name,
@@ -44,7 +45,9 @@ Result<plan::TableFunctionBinding> IqEngine::ResolveTableFunction(
   return Status::NotFound("IQ engine has no table function " + name);
 }
 
-Result<exec::ChunkStream> IqEngine::OpenScan(const plan::LogicalOp& scan) {
+Result<exec::ChunkStream> IqEngine::OpenScan(const plan::LogicalOp& scan,
+                                             const mvcc::ReadView& view) {
+  (void)view;  // The extended store is not versioned.
   HANA_ASSIGN_OR_RETURN(ExtendedTable * table,
                         store_->GetTable(scan.table.name));
   std::vector<ColumnRange> ranges;

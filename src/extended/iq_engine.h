@@ -39,7 +39,8 @@ class IqEngine : public plan::BinderCatalog, public exec::ExecContext {
       const std::string& name) const override;
 
   // ExecContext:
-  [[nodiscard]] Result<exec::ChunkStream> OpenScan(const plan::LogicalOp& scan) override;
+  [[nodiscard]] Result<exec::ChunkStream> OpenScan(
+      const plan::LogicalOp& scan, const mvcc::ReadView& view) override;
   [[nodiscard]] Result<exec::ChunkStream> OpenRemoteQuery(
       const plan::LogicalOp& rq, const exec::PushdownInList* in_list,
       const storage::Table* relocated_rows) override;

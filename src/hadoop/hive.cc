@@ -190,8 +190,12 @@ Result<plan::TableFunctionBinding> HiveEngine::ResolveTableFunction(
 // Compiler: logical plan -> DAG of MapReduce jobs
 // ---------------------------------------------------------------------
 
+std::string HiveEngine::TempPrefix(size_t query_id) const {
+  return StrFormat("/tmp/hive-query-%zu/", query_id);
+}
+
 std::string HiveEngine::TempPath(size_t query_id, size_t job) const {
-  return StrFormat("/tmp/hive-query-%zu/stage-%zu", query_id, job);
+  return TempPrefix(query_id) + StrFormat("stage-%zu", job);
 }
 
 Result<HiveEngine::Dataset> HiveEngine::CompileNode(const LogicalOp& op,
@@ -558,6 +562,18 @@ Result<HiveEngine::Dataset> HiveEngine::CompileNode(const LogicalOp& op,
 
 Result<HiveResult> HiveEngine::ExecuteQuery(const std::string& sql) {
   size_t query_id = next_query_id_++;
+  Result<HiveResult> result = RunQuery(sql, query_id);
+  // The stage outputs are scratch: drop them once the result has been
+  // read back, and after a failed compile or job too, so HDFS does not
+  // grow with every query.
+  for (const std::string& path : hdfs_->List(TempPrefix(query_id))) {
+    HANA_RETURN_IF_ERROR(hdfs_->Delete(path));
+  }
+  return result;
+}
+
+Result<HiveResult> HiveEngine::RunQuery(const std::string& sql,
+                                        size_t query_id) {
   size_t jobs_before = mapreduce_->history().size();
   double ms_before = 0;
   for (const auto& job : mapreduce_->history()) ms_before += job.simulated_ms;

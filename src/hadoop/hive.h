@@ -88,7 +88,12 @@ class HiveEngine : public plan::BinderCatalog {
 
   [[nodiscard]] Result<Dataset> CompileNode(const plan::LogicalOp& op, size_t* job_counter,
                               size_t query_id);
+  /// Every job output of query `query_id` lives under this prefix.
+  std::string TempPrefix(size_t query_id) const;
   std::string TempPath(size_t query_id, size_t job) const;
+  /// ExecuteQuery minus the clean-up of the query's job outputs.
+  [[nodiscard]] Result<HiveResult> RunQuery(const std::string& sql,
+                                            size_t query_id);
 
   Hdfs* hdfs_;
   MapReduceEngine* mapreduce_;

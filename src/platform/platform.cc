@@ -327,7 +327,7 @@ Result<ExecResult> Platform::Execute(const std::string& sql) {
       HANA_ASSIGN_OR_RETURN(plan::LogicalOpPtr logical,
                             PlanSelect(*explain.select));
       std::vector<plan::PipelineSummary> pipelines =
-          exec::AnnotatePipelines(logical.get(), this);
+          exec::AnnotatePipelines(logical.get());
       ExecResult result;
       result.message = logical->ToString();
       result.message += optimizer::FormatPipelines(pipelines);
@@ -430,8 +430,7 @@ Status Platform::SetParameter(const std::string& name,
     }
     return Status::OK();
   }
-  if (key == "parallel_join" || key == "parallel_agg" ||
-      key == "parallel_merge") {
+  if (key == "parallel_agg" || key == "parallel_merge") {
     std::string v;
     for (char c : value) v += static_cast<char>(std::tolower(c));
     bool enabled;
@@ -442,9 +441,7 @@ Status Platform::SetParameter(const std::string& name,
     } else {
       return Status::InvalidArgument("invalid " + key + ": " + value);
     }
-    (key == "parallel_join"  ? parallel_join_
-     : key == "parallel_agg" ? parallel_agg_
-                             : parallel_merge_) = enabled;
+    (key == "parallel_agg" ? parallel_agg_ : parallel_merge_) = enabled;
     return Status::OK();
   }
   if (key == "merge_threshold_rows") {
@@ -476,18 +473,6 @@ Status Platform::SetParameter(const std::string& name,
     std::string v;
     for (char c : value) v += static_cast<char>(std::tolower(c));
     return SetCpuMode(v);
-  }
-  if (key == "executor") {
-    if (value == "pipeline") {
-      executor_mode_ = exec::ExecutorMode::kPipeline;
-    } else if (value == "fused") {
-      executor_mode_ = exec::ExecutorMode::kFused;
-    } else if (value == "serial") {
-      executor_mode_ = exec::ExecutorMode::kSerial;
-    } else {
-      return Status::InvalidArgument("invalid executor: " + value);
-    }
-    return Status::OK();
   }
   return Status::NotFound("unknown parameter: " + name);
 }
@@ -545,12 +530,8 @@ std::shared_ptr<const storage::TableReadSnapshot> Platform::SnapshotFor(
   return it->second;  // First opener wins on a race.
 }
 
-Result<exec::ChunkStream> Platform::OpenScan(const plan::LogicalOp& scan) {
-  return OpenScanAt(scan, mvcc::ReadView{});
-}
-
-Result<exec::ChunkStream> Platform::OpenScanAt(const plan::LogicalOp& scan,
-                                               const mvcc::ReadView& view) {
+Result<exec::ChunkStream> Platform::OpenScan(const plan::LogicalOp& scan,
+                                             const mvcc::ReadView& view) {
   const plan::TableBinding& binding = scan.table;
   switch (binding.location) {
     case plan::TableLocation::kLocalColumn:
@@ -653,19 +634,12 @@ exec::ParallelPolicy Platform::parallel_policy() {
   policy.pool = &TaskPool::Global();
   policy.dop = dop_;
   policy.morsel_rows = morsel_rows_;
-  policy.parallel_join = parallel_join_;
   policy.parallel_agg = parallel_agg_;
   policy.agg_partitions = agg_partitions_;
-  policy.executor = executor_mode_;
   return policy;
 }
 
 Result<std::optional<exec::PartitionSource>> Platform::OpenPartitionedScan(
-    const plan::LogicalOp& scan, size_t morsel_rows) {
-  return OpenPartitionedScanAt(scan, morsel_rows, mvcc::ReadView{});
-}
-
-Result<std::optional<exec::PartitionSource>> Platform::OpenPartitionedScanAt(
     const plan::LogicalOp& scan, size_t morsel_rows,
     const mvcc::ReadView& view) {
   const plan::TableBinding& binding = scan.table;

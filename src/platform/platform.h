@@ -92,9 +92,7 @@ class Platform : public exec::ExecContext {
   ///   remote_cache_validity    = seconds
   ///   threads                  = degree of parallelism (0 = default)
   ///   morsel_rows              = rows per scan morsel (0 = default)
-  ///   executor                 = pipeline|fused|serial pipeline-DAG
-  ///                              scheduling mode (results identical)
-  ///   parallel_join            = on|off morsel-parallel radix hash join
+  ///   cpu                      = scalar|native kernel binding
   ///   parallel_agg             = on|off radix-partitioned two-phase
   ///                              aggregation with vectorized key hashing
   ///                              (off = boxed serial-fold baseline;
@@ -123,8 +121,8 @@ class Platform : public exec::ExecContext {
   SimClock& clock() { return clock_; }
   const QueryMetrics& last_metrics() const { return last_metrics_; }
 
-  /// Per-pipeline stats of the last SELECT (empty when it ran through
-  /// the serial Volcano fallback).
+  /// Per-pipeline stats of the last SELECT, one entry per pipeline of
+  /// its decomposition (every plan runs through the pipeline executor).
   const std::vector<exec::PipelineStats>& last_pipeline_stats() const {
     return last_pipeline_stats_;
   }
@@ -140,8 +138,7 @@ class Platform : public exec::ExecContext {
   /// timestamp and registers it in the active-snapshot set, holding the
   /// delta-merge watermark back while the statement runs.
   ReadLease AcquireReadLease() override;
-  [[nodiscard]] Result<exec::ChunkStream> OpenScan(const plan::LogicalOp& scan) override;
-  [[nodiscard]] Result<exec::ChunkStream> OpenScanAt(
+  [[nodiscard]] Result<exec::ChunkStream> OpenScan(
       const plan::LogicalOp& scan, const mvcc::ReadView& view) override;
   [[nodiscard]] Result<exec::ChunkStream> OpenRemoteQuery(
       const plan::LogicalOp& rq, const exec::PushdownInList* in_list,
@@ -149,11 +146,9 @@ class Platform : public exec::ExecContext {
   [[nodiscard]] Result<exec::ChunkStream> OpenTableFunction(
       const plan::LogicalOp& fn) override;
   exec::ParallelPolicy parallel_policy() override;
-  [[nodiscard]] Result<std::optional<exec::PartitionSource>> OpenPartitionedScan(
-      const plan::LogicalOp& scan, size_t morsel_rows) override;
   [[nodiscard]] Result<std::optional<exec::PartitionSource>>
-  OpenPartitionedScanAt(const plan::LogicalOp& scan, size_t morsel_rows,
-                        const mvcc::ReadView& view) override;
+  OpenPartitionedScan(const plan::LogicalOp& scan, size_t morsel_rows,
+                      const mvcc::ReadView& view) override;
   void BeginConcurrentRemoteDispatch() override;
   void EndConcurrentRemoteDispatch() override;
 
@@ -190,11 +185,9 @@ class Platform : public exec::ExecContext {
   optimizer::OptimizerOptions opt_options_;
   size_t dop_ = 1;
   size_t morsel_rows_ = exec::kDefaultMorselRows;
-  bool parallel_join_ = true;
   bool parallel_agg_ = true;
   size_t agg_partitions_ = 0;  // 0 = optimizer/cardinality default.
   bool parallel_merge_ = true;
-  exec::ExecutorMode executor_mode_ = exec::ExecutorMode::kPipeline;
   size_t merge_threshold_rows_ = 0;  // 0 = auto-merge disabled.
   QueryMetrics last_metrics_;
   std::vector<exec::PipelineStats> last_pipeline_stats_;

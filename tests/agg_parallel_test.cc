@@ -3,8 +3,8 @@
 // partition in ascending morsel order and the final emit is a
 // rank-ordered merge reproducing the serial first-seen group order — so
 // every GROUP BY below must produce bit-identical results across
-// executor modes (serial/fused/pipeline), thread counts (1/2/4/8), CPU
-// kernel bindings (scalar/native) and the parallel_agg on/off ablation,
+// thread counts (1/2/4/8), CPU kernel bindings (scalar/native) and the
+// parallel_agg on/off ablation,
 // with NULL group keys, DISTINCT aggregates, mixed-type (boxed) keys,
 // empty inputs and the TPC-H Q1 shape.
 
@@ -75,7 +75,6 @@ class AggParallelTest : public ::testing::Test {
 
   void TearDown() override {
     ASSERT_TRUE(db_->SetParameter("threads", "0").ok());
-    ASSERT_TRUE(db_->SetParameter("executor", "pipeline").ok());
     ASSERT_TRUE(db_->SetParameter("parallel_agg", "on").ok());
     ASSERT_TRUE(db_->SetParameter("agg_partitions", "0").ok());
     ASSERT_TRUE(db_->SetParameter("cpu", "native").ok());
@@ -100,13 +99,11 @@ class AggParallelTest : public ::testing::Test {
     }
   }
 
-  /// The full determinism matrix: the serial Volcano baseline
-  /// (executor=serial, threads=1) versus every executor mode x thread
-  /// count x CPU binding, asserted bit-identical cell for cell
+  /// The full determinism matrix: the threads=1 baseline versus every
+  /// thread count x CPU binding, asserted bit-identical cell for cell
   /// including row order (no ORDER BY needed — the rank-ordered emit
   /// pins the group order to serial first-seen).
   void ExpectIdenticalAcrossMatrix(const std::string& query) {
-    ASSERT_TRUE(db_->SetParameter("executor", "serial").ok());
     ASSERT_TRUE(db_->SetParameter("threads", "1").ok());
     auto baseline = db_->Query(query);
     ASSERT_TRUE(baseline.ok()) << query << ": "
@@ -114,16 +111,13 @@ class AggParallelTest : public ::testing::Test {
 
     for (const char* cpu : {"scalar", "native"}) {
       ASSERT_TRUE(db_->SetParameter("cpu", cpu).ok());
-      for (const char* mode : {"serial", "fused", "pipeline"}) {
-        ASSERT_TRUE(db_->SetParameter("executor", mode).ok());
-        for (const char* threads : {"1", "2", "4", "8"}) {
-          ASSERT_TRUE(db_->SetParameter("threads", threads).ok());
-          auto run = db_->Query(query);
-          ASSERT_TRUE(run.ok()) << query << ": " << run.status().ToString();
-          ExpectTablesIdentical(*baseline, *run,
-                                query + " [cpu=" + cpu + " executor=" +
-                                    mode + " threads=" + threads + "]");
-        }
+      for (const char* threads : {"1", "2", "4", "8"}) {
+        ASSERT_TRUE(db_->SetParameter("threads", threads).ok());
+        auto run = db_->Query(query);
+        ASSERT_TRUE(run.ok()) << query << ": " << run.status().ToString();
+        ExpectTablesIdentical(*baseline, *run,
+                              query + " [cpu=" + cpu + " threads=" + threads +
+                                  "]");
       }
     }
     ASSERT_TRUE(db_->SetParameter("cpu", "native").ok());
@@ -303,7 +297,7 @@ TEST_F(AggParallelTest, ConjunctionFastPathEquivalence) {
 }
 
 // TPC-H Q1: the canonical sum/avg-heavy aggregation, bit-identical
-// across the executor matrix at SF 0.01.
+// across thread counts at SF 0.01.
 class TpchAggParallelTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -334,12 +328,10 @@ platform::Platform* TpchAggParallelTest::db_ = nullptr;
 TEST_F(TpchAggParallelTest, Q1SerialParallelIdentical) {
   std::string sql = tpch::QueryText(1);
 
-  ASSERT_TRUE(db_->SetParameter("executor", "serial").ok());
   ASSERT_TRUE(db_->SetParameter("threads", "1").ok());
   auto baseline = db_->Query(sql);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
-  ASSERT_TRUE(db_->SetParameter("executor", "pipeline").ok());
   for (const char* threads : {"1", "2", "4", "8"}) {
     ASSERT_TRUE(db_->SetParameter("threads", threads).ok());
     auto run = db_->Query(sql);

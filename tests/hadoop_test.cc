@@ -271,6 +271,26 @@ TEST_F(HiveTest, CtasMaterializesAndRegisters) {
   EXPECT_TRUE((*table)->temporary);
 }
 
+TEST_F(HiveTest, QueryStageOutputsAreDeleted) {
+  uint64_t used_before = hdfs_.used_bytes();
+  for (const char* sql :
+       {"SELECT id, v FROM t WHERE id < 10",
+        "SELECT grp, COUNT(*) AS n, SUM(v) AS s FROM t GROUP BY grp",
+        "SELECT a.id, b.v FROM t a JOIN t b ON a.id = b.id "
+        "WHERE a.id < 20 ORDER BY a.id DESC LIMIT 5"}) {
+    auto result = hive_.ExecuteQuery(sql);
+    ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    EXPECT_GT(result->num_jobs, 0u) << sql;
+  }
+  // A job that fails mid-query leaves nothing behind either.
+  EXPECT_FALSE(hive_.ExecuteQuery(
+                        "SELECT a.id FROM t a JOIN t b ON a.id = b.id "
+                        "WHERE CAST(a.grp AS BIGINT) > 0")
+                   .ok());
+  EXPECT_TRUE(hdfs_.List("/tmp/hive-query-").empty());
+  EXPECT_EQ(hdfs_.used_bytes(), used_before);
+}
+
 TEST_F(HiveTest, DropTableRemovesData) {
   ASSERT_TRUE(hive_.DropTable("t").ok());
   EXPECT_FALSE(hive_.ExecuteQuery("SELECT id FROM t").ok());

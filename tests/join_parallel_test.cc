@@ -106,7 +106,6 @@ class JoinParallelTest : public ::testing::Test {
 
   void TearDown() override {
     ASSERT_TRUE(db_->SetParameter("threads", "0").ok());
-    ASSERT_TRUE(db_->SetParameter("parallel_join", "on").ok());
   }
 
   static void ExpectTablesIdentical(const storage::Table& a,
@@ -142,20 +141,28 @@ class JoinParallelTest : public ::testing::Test {
     ExpectTablesIdentical(*serial, *parallel, query);
   }
 
-  /// Runs `query` on the seed row-at-a-time hash join (parallel_join
-  /// off) and on the radix pipeline and asserts identical results. The
-  /// seed join emits duplicate matches in unspecified order, so callers
-  /// must pass queries whose ORDER BY pins a total row order.
-  void ExpectRadixMatchesSeedPath(const std::string& query) {
+  /// Runs `head + " ON f.k = d.k" + tail` on the radix hash join and
+  /// the same query with the equivalent `f.k <= d.k AND f.k >= d.k` on
+  /// the nested-loop probe, and asserts identical results. The
+  /// reference condition has no equi key, so it never builds a
+  /// RadixJoinTable: an independent implementation of the same join.
+  /// Callers pass an ORDER BY pinning a total row order.
+  void ExpectRadixMatchesNestedLoop(const std::string& head,
+                                    const std::string& tail) {
     ASSERT_TRUE(db_->SetParameter("threads", "8").ok());
-    ASSERT_TRUE(db_->SetParameter("parallel_join", "off").ok());
-    auto seed = db_->Query(query);
-    ASSERT_TRUE(seed.ok()) << query << ": " << seed.status().ToString();
+    std::string reference_sql = head + " ON f.k <= d.k AND f.k >= d.k" + tail;
+    ResetJoinExecStats();
+    auto reference = db_->Query(reference_sql);
+    ASSERT_TRUE(reference.ok())
+        << reference_sql << ": " << reference.status().ToString();
+    EXPECT_EQ(GlobalJoinExecStats().radix_hash_joins.load(), 0u);
+    EXPECT_GT(GlobalJoinExecStats().nested_loop_fallbacks.load(), 0u);
 
-    ASSERT_TRUE(db_->SetParameter("parallel_join", "on").ok());
+    std::string query = head + " ON f.k = d.k" + tail;
     auto radix = db_->Query(query);
     ASSERT_TRUE(radix.ok()) << query << ": " << radix.status().ToString();
-    ExpectTablesIdentical(*seed, *radix, query);
+    EXPECT_GT(GlobalJoinExecStats().radix_hash_joins.load(), 0u);
+    ExpectTablesIdentical(*reference, *radix, query);
   }
 
   static platform::Platform* db_;
@@ -242,21 +249,16 @@ TEST_F(JoinParallelTest, MixedTypeKeysUseBoxedFallback) {
 }
 
 TEST_F(JoinParallelTest, RadixMatchesSeedHashJoin) {
-  // The seed hash join's duplicate-match order is unspecified, so pin a
-  // total order before comparing engines.
-  ExpectRadixMatchesSeedPath(R"(
-      SELECT f.id, d.name FROM fact f JOIN dim d ON f.k = d.k
-      ORDER BY f.id, d.name)");
-  ExpectRadixMatchesSeedPath(R"(
-      SELECT f.id, d.name FROM fact f LEFT JOIN dim d ON f.k = d.k
-      ORDER BY f.id, d.name)");
-  // COUNT only: the engines feed the aggregate in different match
-  // orders, so float SUMs may differ in the last ulp across engines
-  // (serial-vs-parallel radix runs stay bit-identical; see above).
-  ExpectRadixMatchesSeedPath(R"(
-      SELECT d.name, COUNT(*) AS n
-      FROM fact f JOIN dim d ON f.k = d.k
-      GROUP BY d.name ORDER BY d.name)");
+  // The fact side is cut to keep the nested-loop reference quick; the
+  // ORDER BY pins a total order before comparing implementations.
+  ExpectRadixMatchesNestedLoop("SELECT f.id, d.name FROM fact f JOIN dim d",
+                               " WHERE f.id < 4000 ORDER BY f.id, d.name");
+  ExpectRadixMatchesNestedLoop(
+      "SELECT f.id, d.name FROM fact f LEFT JOIN dim d",
+      " WHERE f.id < 4000 ORDER BY f.id, d.name");
+  ExpectRadixMatchesNestedLoop(
+      "SELECT d.name, COUNT(*) AS n FROM fact f JOIN dim d",
+      " WHERE f.id < 4000 GROUP BY d.name ORDER BY d.name");
 }
 
 TEST_F(JoinParallelTest, RadixJoinCounterIncrements) {
@@ -267,16 +269,6 @@ TEST_F(JoinParallelTest, RadixJoinCounterIncrements) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GT(GlobalJoinExecStats().radix_hash_joins.load(), 0u);
   EXPECT_EQ(GlobalJoinExecStats().nested_loop_fallbacks.load(), 0u);
-}
-
-TEST_F(JoinParallelTest, SerialHashJoinCounterIncrements) {
-  ResetJoinExecStats();
-  ASSERT_TRUE(db_->SetParameter("parallel_join", "off").ok());
-  auto r = db_->Query(
-      "SELECT COUNT(*) AS n FROM fact f JOIN dim d ON f.k = d.k");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(GlobalJoinExecStats().radix_hash_joins.load(), 0u);
-  EXPECT_GT(GlobalJoinExecStats().serial_hash_joins.load(), 0u);
 }
 
 TEST_F(JoinParallelTest, NestedLoopFallbackIsCounted) {
@@ -309,9 +301,8 @@ TEST_F(JoinParallelTest, BuildSideFlipPreservesResults) {
   // The build_left flip must not change output columns or row order.
   ExpectSerialParallelIdentical(
       "SELECT d.name, f.id, f.v FROM dim d JOIN fact f ON d.k = f.k");
-  ExpectRadixMatchesSeedPath(R"(
-      SELECT d.name, f.id FROM dim d JOIN fact f ON d.k = f.k
-      ORDER BY f.id, d.name)");
+  ExpectRadixMatchesNestedLoop("SELECT d.name, f.id FROM dim d JOIN fact f",
+                               " WHERE f.id < 4000 ORDER BY f.id, d.name");
 }
 
 // TPC-H join queries must be bit-identical between serial and parallel

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/cpu_dispatch.h"
+#include "exec/radix_join.h"
 #include "platform/platform.h"
 
 namespace hana {
@@ -201,7 +202,6 @@ class KernelsMatrixTest : public ::testing::Test {
   void TearDown() override {
     ASSERT_TRUE(db_->SetParameter("threads", "0").ok());
     ASSERT_TRUE(db_->SetParameter("cpu", original_cpu_mode_).ok());
-    ASSERT_TRUE(db_->SetParameter("parallel_join", "on").ok());
   }
 
   static void ExpectTablesIdentical(const storage::Table& a,
@@ -313,21 +313,24 @@ TEST_F(KernelsMatrixTest, SparseKeyJoinMatrixIdentical) {
 }
 
 TEST_F(KernelsMatrixTest, PerfectHashMatchesSeedHashJoin) {
-  // Independent implementation check: the row-at-a-time seed hash join
-  // (parallel_join off) never builds a RadixJoinTable, so agreement
-  // pins down the perfect-hash path end to end. ORDER BY pins a total
-  // row order because the seed join emits duplicates in its own order.
-  const std::string query =
-      "SELECT f.id, f.nk, d.name FROM fact f JOIN ddim d ON f.nk = d.k "
-      "ORDER BY f.id";
+  // Independent implementation check: the same join written as
+  // `f.nk <= d.k AND f.nk >= d.k` has no equi key, so it runs through
+  // the nested-loop probe and never builds a RadixJoinTable; agreement
+  // pins down the perfect-hash path end to end. The fact side is cut to
+  // keep the nested loop quick; ORDER BY pins a total row order.
+  const std::string select =
+      "SELECT f.id, f.nk, d.name FROM fact f JOIN ddim d";
+  const std::string tail = " WHERE f.id < 4000 ORDER BY f.id";
   ASSERT_TRUE(db_->SetParameter("threads", "4").ok());
-  ASSERT_TRUE(db_->SetParameter("parallel_join", "off").ok());
-  auto seed = db_->Query(query);
-  ASSERT_TRUE(seed.ok()) << seed.status().ToString();
-  ASSERT_TRUE(db_->SetParameter("parallel_join", "on").ok());
-  auto perfect = db_->Query(query);
+  exec::ResetJoinExecStats();
+  auto reference =
+      db_->Query(select + " ON f.nk <= d.k AND f.nk >= d.k" + tail);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_EQ(exec::GlobalJoinExecStats().radix_hash_joins.load(), 0u);
+  auto perfect = db_->Query(select + " ON f.nk = d.k" + tail);
   ASSERT_TRUE(perfect.ok()) << perfect.status().ToString();
-  ExpectTablesIdentical(*seed, *perfect, query);
+  EXPECT_GT(exec::GlobalJoinExecStats().perfect_hash_joins.load(), 0u);
+  ExpectTablesIdentical(*reference, *perfect, select + tail);
 }
 
 TEST_F(KernelsMatrixTest, EncodedTableSurvivesFurtherInsertsAndMerge) {

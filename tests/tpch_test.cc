@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "platform/platform.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
@@ -173,6 +176,104 @@ TEST_F(TpchLocalExecution, Q6MatchesHandRolledFilter) {
     }
   }
   EXPECT_NEAR(result->row(0)[0].double_value(), expected, 1e-6);
+}
+
+// ---------------------------------------------------------------------
+// Golden results: the correctness oracle for the 12 benchmark queries.
+// Row counts and cell digests were recorded at SF 0.01, threads=1,
+// default morsel size, before the executor was folded into a single
+// pipeline engine; every later engine must reproduce them bit for bit
+// at every thread count.
+// ---------------------------------------------------------------------
+
+uint64_t MixBytes(uint64_t h, const void* data, size_t n) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ULL;  // FNV-1a 64.
+  }
+  return h;
+}
+
+/// Order-sensitive FNV-1a digest of every cell: type tag, then the
+/// payload — doubles by their bit pattern, strings length-prefixed.
+uint64_t TableDigest(const storage::Table& t) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    for (const Value& v : t.row(r)) {
+      uint8_t tag = static_cast<uint8_t>(v.type());
+      h = MixBytes(h, &tag, 1);
+      switch (v.type()) {
+        case DataType::kNull:
+          break;
+        case DataType::kBool: {
+          uint8_t b = v.bool_value() ? 1 : 0;
+          h = MixBytes(h, &b, 1);
+          break;
+        }
+        case DataType::kDouble: {
+          double d = v.double_value();
+          uint64_t bits;
+          std::memcpy(&bits, &d, sizeof(bits));
+          h = MixBytes(h, &bits, sizeof(bits));
+          break;
+        }
+        case DataType::kString: {
+          const std::string& str = v.string_value();
+          uint64_t n = str.size();
+          h = MixBytes(h, &n, sizeof(n));
+          h = MixBytes(h, str.data(), str.size());
+          break;
+        }
+        default: {  // kInt64, kDate, kTimestamp.
+          int64_t i = v.int_value();
+          h = MixBytes(h, &i, sizeof(i));
+          break;
+        }
+      }
+    }
+  }
+  return h;
+}
+
+struct GoldenResult {
+  int query;
+  size_t rows;
+  uint64_t digest;
+};
+
+constexpr GoldenResult kGolden[] = {
+    {4, 5, 0x7b2c225bb9a8a574ULL},   {18, 1, 0xf07d3c63bd1e257cULL},
+    {13, 23, 0x6608db2fe1193357ULL}, {3, 133, 0xe4535799631f66ceULL},
+    {12, 2, 0x9420823ff8d0c004ULL},  {6, 1, 0xbe0d35cae4987d7cULL},
+    {1, 4, 0x2388c47a0e55ae84ULL},   {5, 5, 0xce7e26bb82316963ULL},
+    {10, 435, 0xbfd72d5eee989e1dULL}, {19, 1, 0x1450630b80db5570ULL},
+    {14, 1, 0x240f2cca43760a3eULL},  {16, 295, 0x04a29b479d9addf0ULL},
+};
+
+TEST(TpchGoldenTest, BenchmarkQueriesMatchGoldenDigests) {
+  TpchData data = Generate(0.01);
+  platform::Platform db(platform::PlatformOptions{.attach_extended = false,
+                                                  .start_hadoop = false});
+  for (const std::string& table : TpchTableNames()) {
+    sql::CreateTableStmt create;
+    create.table = table;
+    create.columns = TpchSchema(table)->columns();
+    ASSERT_TRUE(db.catalog().CreateTable(create).ok());
+    ASSERT_TRUE(db.catalog().Insert(table, *TableRows(data, table)).ok());
+  }
+  ASSERT_EQ(std::size(kGolden), BenchmarkQueries().size());
+  for (const char* threads : {"1", "4"}) {
+    ASSERT_TRUE(db.SetParameter("threads", threads).ok());
+    for (const GoldenResult& golden : kGolden) {
+      SCOPED_TRACE("Q" + std::to_string(golden.query) + " threads=" +
+                   threads);
+      auto result = db.Query(QueryText(golden.query));
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->num_rows(), golden.rows);
+      EXPECT_EQ(TableDigest(*result), golden.digest);
+    }
+  }
 }
 
 }  // namespace
